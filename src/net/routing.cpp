@@ -130,55 +130,67 @@ const Route& StaticRouteTable::route(NodeId from, NodeId to) const {
   return shard.routes[to.index()];
 }
 
-ProbedRouteCache::~ProbedRouteCache() { flush_tallies(); }
-
-void ProbedRouteCache::flush_tallies() {
-  if (hits_ > 0) {
-    obs::hot_counters().route_memo_hits.increment(hits_);
-    hits_ = 0;
+BridgeIndex::BridgeIndex(const Topology& topology)
+    : nodes_(topology.num_nodes()) {
+  const std::size_t n = topology.num_nodes();
+  throw_if(n > std::numeric_limits<std::uint32_t>::max(),
+           "BridgeIndex: too many nodes");
+  // Undirected simple neighbour lists: both link directions, parallel
+  // cables and self-loops collapse, so a pair of nodes is one edge.
+  std::vector<std::vector<std::size_t>> adjacent(n);
+  for (std::size_t i = 0; i < topology.num_links(); ++i) {
+    const Link& link = topology.link(LinkId(i));
+    if (link.src != link.dst) {
+      adjacent[link.src.index()].push_back(link.dst.index());
+      adjacent[link.dst.index()].push_back(link.src.index());
+    }
   }
-  if (misses_ > 0) {
-    obs::hot_counters().route_memo_misses.increment(misses_);
-    misses_ = 0;
+  for (std::vector<std::size_t>& list : adjacent) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
   }
-}
 
-const Route* ProbedRouteCache::lookup(NodeId from, NodeId to, double ready,
-                                      double cost,
-                                      std::uint64_t generation) {
-  if (from.index() < shards_.size()) {
-    const Shard& shard = shards_[from.index()];
-    if (to.index() < shard.entries.size()) {
-      const Entry& entry = shard.entries[to.index()];
-      if (entry.cached && entry.run_epoch == run_epoch_ &&
-          entry.generation == generation && entry.ready == ready &&
-          entry.cost == cost) {
-        ++hits_;
-        return &entry.route;
+  // Iterative Tarjan DFS: low(v) is the least entry time reachable from
+  // v's subtree over one non-tree edge; tree edge (p, c) is a bridge iff
+  // low(c) > tin(p).
+  std::vector<std::uint32_t> low(n);
+  std::vector<std::size_t> parent(n, kNone);
+  std::vector<char> visited(n, 0);
+  std::vector<std::pair<std::size_t, std::size_t>> stack;  // node, next
+  std::uint32_t timer = 0;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (visited[root] != 0) {
+      continue;
+    }
+    visited[root] = 1;
+    nodes_[root].tin = low[root] = timer++;
+    stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      auto& [v, next] = stack.back();
+      if (next < adjacent[v].size()) {
+        const std::size_t w = adjacent[v][next++];
+        if (visited[w] == 0) {
+          visited[w] = 1;
+          parent[w] = v;
+          nodes_[w].tin = low[w] = timer++;
+          stack.emplace_back(w, 0);
+        } else if (w != parent[v]) {
+          low[v] = std::min(low[v], nodes_[w].tin);
+        }
+        continue;
+      }
+      const std::size_t done = v;
+      stack.pop_back();
+      nodes_[done].tout = timer - 1;
+      const std::size_t p = parent[done];
+      if (p != kNone) {
+        low[p] = std::min(low[p], low[done]);
+        if (low[done] > nodes_[p].tin) {
+          nodes_[done].bridge_parent = p;
+        }
       }
     }
   }
-  ++misses_;
-  return nullptr;
-}
-
-void ProbedRouteCache::store(NodeId from, NodeId to, double ready,
-                             double cost, std::uint64_t generation,
-                             const Route& route) {
-  if (from.index() >= shards_.size()) {
-    shards_.resize(from.index() + 1);
-  }
-  Shard& shard = shards_[from.index()];
-  if (to.index() >= shard.entries.size()) {
-    shard.entries.resize(to.index() + 1);
-  }
-  Entry& entry = shard.entries[to.index()];
-  entry.ready = ready;
-  entry.cost = cost;
-  entry.generation = generation;
-  entry.run_epoch = run_epoch_;
-  entry.cached = true;
-  entry.route = route;
 }
 
 Route dijkstra_route(const Topology& topology, NodeId from, NodeId to,

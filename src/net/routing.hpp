@@ -9,12 +9,10 @@
 //   Dijkstra whose relaxation key is the tentative finish time of the
 //   edge being routed on each link, supplied by a caller probe that
 //   consults the current link timelines (basic insertion, §3). Routes
-//   therefore steer around loaded links.
+//   therefore steer around loaded links. Given a `BridgeIndex` of the
+//   topology, the search never crosses a bridge away from its target.
 // * `RoutingWorkspace` — reusable, epoch-stamped Dijkstra scratch so a
 //   scheduler routing thousands of edges allocates its search state once.
-// * `ProbedRouteCache` — memoisation of probe-driven routes keyed on the
-//   network-state load generation; invalidated by any link mutation and
-//   by `begin_run()` (pooled scratch reused across runs).
 // * `StaticRouteTable` — the immutable all-pairs counterpart of
 //   `RouteCache`: every processor-to-processor minimal route materialised
 //   eagerly at construction, after which lookups are const and safe from
@@ -111,80 +109,6 @@ class StaticRouteTable {
     std::vector<char> cached;
   };
   std::vector<Shard> shards_;  ///< by source node index
-};
-
-/// Memoised *probe-driven* routes (modified routing, §4.3). Unlike BFS
-/// routes these depend on the live link timelines, so an entry is only
-/// returned when the query is provably identical to the one that
-/// produced it:
-///
-///   * same (from, to) endpoints,
-///   * bit-identical ready time and edge cost (they parameterise every
-///     relaxation probe), and
-///   * the same network-state *load generation* — a counter the owning
-///     state bumps on every timeline mutation (commit, deferral shift,
-///     uncommit). Equal generations mean bit-identical timelines, hence
-///     a byte-identical Dijkstra outcome; a changed generation makes the
-///     entry stale and `lookup` misses (the entry is overwritten by the
-///     next `store`).
-///
-/// This is a fast path, never a semantic change: a hit returns exactly
-/// the route the search would have recomputed.
-///
-/// Like `RouteCache`, entries are sharded by source node into dense
-/// per-destination vectors (lazily sized to the largest node index
-/// seen), capping every lookup and store at O(1) — the memo sits inside
-/// the per-edge routing hot loop, so its cost must not grow with the
-/// number of pairs memoised.
-class ProbedRouteCache {
- public:
-  ProbedRouteCache() = default;
-
-  /// Flushes hit/miss tallies into `net_route_memo_{hits,misses}_total`.
-  ~ProbedRouteCache();
-
-  ProbedRouteCache(const ProbedRouteCache&) = delete;
-  ProbedRouteCache& operator=(const ProbedRouteCache&) = delete;
-
-  /// Invalidates every entry (O(1): bumps the run epoch entries are
-  /// stamped with). Pooled workspaces call this between runs — load
-  /// generations restart per run, so an entry from a previous run could
-  /// otherwise collide with an unrelated query that happens to repeat
-  /// the same (ready, cost, generation) triple. A fresh cache and a
-  /// begun-again one are behaviourally identical, misses included.
-  void begin_run() noexcept { ++run_epoch_; }
-
-  /// Flushes the accumulated hit/miss tallies into the global counters
-  /// and zeroes them. The engine calls this at the end of every run so
-  /// pooled memos report deterministically per run instead of only when
-  /// the owning pool dies; the destructor flushes any remainder.
-  void flush_tallies();
-
-  /// The memoised route for the identical query, or nullptr on miss.
-  [[nodiscard]] const Route* lookup(NodeId from, NodeId to, double ready,
-                                    double cost, std::uint64_t generation);
-
-  /// Records a computed route for (from, to) under the given query
-  /// parameters, replacing any previous entry for the pair.
-  void store(NodeId from, NodeId to, double ready, double cost,
-             std::uint64_t generation, const Route& route);
-
- private:
-  struct Entry {
-    double ready = 0.0;
-    double cost = 0.0;
-    std::uint64_t generation = 0;
-    std::uint64_t run_epoch = 0;
-    bool cached = false;
-    Route route;
-  };
-  struct Shard {
-    std::vector<Entry> entries;  ///< by destination index
-  };
-  std::vector<Shard> shards_;  ///< by source node index, grown on demand
-  std::uint64_t run_epoch_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 /// Static weighted shortest path; `weight(link)` must be non-negative.
@@ -289,6 +213,11 @@ class RoutingWorkspace {
     relaxations_ += count;
   }
 
+  /// Relaxations batched since the last flush.
+  [[nodiscard]] std::uint64_t pending_relaxations() const noexcept {
+    return relaxations_;
+  }
+
   /// Flushes the batched relaxation tally into
   /// `sched_dijkstra_relaxations_total` and zeroes it.
   void flush_relaxations() {
@@ -331,33 +260,57 @@ class RoutingWorkspace {
   std::uint64_t relaxations_ = 0;  ///< batched counter, flushed per run
 };
 
-/// Per-run routing scratch state, bundled so a routing policy owns one
-/// object instead of each scheduler re-declaring the pieces: the
-/// epoch-stamped Dijkstra workspace (reused across every routed edge of
-/// a run) and the generation-keyed probe-route memo. One scratch belongs
-/// to one run on one thread at a time, but the object itself may be
-/// pooled and reused across runs (sched::Workspace does): `begin_run()`
-/// invalidates the memo, and the Dijkstra workspace is already
-/// self-resetting via its search epoch. Construction is cheap (both
-/// members size themselves on first use); the *read-only* routing state
-/// — the BFS route table — lives in `StaticRouteTable` / `RouteCache`,
-/// outside this scratch.
-struct RoutingScratch {
-  RoutingWorkspace workspace;
-  ProbedRouteCache memo;
+/// Bridges of a topology's undirected node graph, indexed for O(1)
+/// "which side is the target on" tests during a probe search.
+///
+/// The node graph joins u and v when any link runs between them in
+/// either direction; both directions and parallel cables collapse into
+/// one undirected edge, so the edge is a bridge when removing *every*
+/// cable between u and v disconnects them. One Tarjan DFS per component
+/// records, per node, its DFS entry time `tin`, the largest entry time
+/// in its subtree `tout`, and its DFS parent when the tree edge to that
+/// parent is a bridge. The side of a bridge (p, c) holding c is then the
+/// DFS subtree of c: the nodes whose `tin` lies in [tin(c), tout(c)].
+///
+/// The index describes exactly the topology it was built from; searches
+/// on any other topology (a rebuilt surviving fabric, say) need their
+/// own.
+class BridgeIndex {
+ public:
+  explicit BridgeIndex(const Topology& topology);
 
-  /// Marks the start of a new run on this (possibly pooled) scratch.
-  void begin_run() noexcept { memo.begin_run(); }
-
-  /// Flushes every counter batched in this scratch (Dijkstra
-  /// relaxations, memo hits/misses) into the global registry. The engine
-  /// calls this at end of run so pooled scratch reports deterministically
-  /// per run — counter totals are then identical however many workers
-  /// shared the run and whether the workspace was fresh or recycled.
-  void flush_counters() {
-    workspace.flush_relaxations();
-    memo.flush_tallies();
+  [[nodiscard]] std::size_t num_nodes() const noexcept {
+    return nodes_.size();
   }
+  /// DFS entry time of `node` — the key `leads_away` tests against.
+  [[nodiscard]] std::uint32_t entry_time(NodeId node) const {
+    return nodes_[node.index()].tin;
+  }
+  /// True when u→v crosses a bridge and the node with entry time
+  /// `target_tin` lies on u's side of it, so no simple path through v
+  /// reaches the target.
+  [[nodiscard]] bool leads_away(NodeId u, NodeId v,
+                                std::uint32_t target_tin) const {
+    const auto in_subtree = [target_tin](const Node& root) {
+      return root.tin <= target_tin && target_tin <= root.tout;
+    };
+    const Node& next = nodes_[v.index()];
+    if (next.bridge_parent == u.index()) {
+      return !in_subtree(next);  // v's side is v's subtree
+    }
+    const Node& here = nodes_[u.index()];
+    return here.bridge_parent == v.index() && in_subtree(here);
+  }
+
+ private:
+  static constexpr std::size_t kNone =
+      std::numeric_limits<std::size_t>::max();
+  struct Node {
+    std::size_t bridge_parent = kNone;  ///< DFS parent across a bridge
+    std::uint32_t tin = 0;
+    std::uint32_t tout = 0;
+  };
+  std::vector<Node> nodes_;
 };
 
 /// Dynamic Dijkstra over tentative edge finish times (modified routing).
@@ -370,18 +323,39 @@ struct RoutingScratch {
 ///
 /// `workspace` lets callers amortise the label/heap allocations across
 /// searches; pass nullptr for a one-off search with local scratch.
+///
+/// ## Bridge pruning
+///
+/// With `bridges` (built from this very topology) the search skips every
+/// relaxation u→v across a bridge whose v side does not hold `to`. That
+/// changes no route: a path entering v's side can only leave it over the
+/// same bridge, back into the already-settled u, so it is not simple and
+/// no label of a node that can still reach `to` depends on it. Those
+/// labels therefore come out identical, and the heap's total order
+/// (finish, start, hops, node) pops them in the same sequence, so the
+/// route is byte-identical to the unpruned search's. Pendant processors
+/// hang off bridges, and on a tree fabric the search probes only the
+/// route's own hops. Pruned neighbours are never probed, so they do not
+/// count as relaxations.
 template <typename Probe>
 [[nodiscard]] Route dijkstra_route_probe(const Topology& topology,
                                          NodeId from, NodeId to,
                                          double ready_time, Probe&& probe,
                                          RoutingWorkspace* workspace =
+                                             nullptr,
+                                         const BridgeIndex* bridges =
                                              nullptr) {
   throw_if(from.index() >= topology.num_nodes() ||
                to.index() >= topology.num_nodes(),
            "dijkstra_route_probe: invalid endpoint");
+  EDGESCHED_ASSERT_MSG(
+      bridges == nullptr || bridges->num_nodes() == topology.num_nodes(),
+      "dijkstra_route_probe: bridge index built from another topology");
   if (from == to) {
     return {};
   }
+  const std::uint32_t target_tin =
+      bridges != nullptr ? bridges->entry_time(to) : 0;
 
   RoutingWorkspace local;
   RoutingWorkspace& ws = workspace != nullptr ? *workspace : local;
@@ -427,6 +401,10 @@ template <typename Probe>
     const std::size_t current_hops = current.hops;
     for (LinkId l : topology.out_links(entry.node)) {
       const NodeId next = topology.link(l).dst;
+      if (bridges != nullptr &&
+          bridges->leads_away(entry.node, next, target_tin)) {
+        continue;
+      }
       detail::DijkstraLabel& next_label = ws.label(next.index());
       if (next_label.settled) {
         continue;

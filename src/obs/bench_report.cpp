@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -12,7 +13,14 @@ namespace edgesched::obs {
 BenchReport::BenchReport(std::string name)
     : name_(std::move(name)), root_(JsonValue::object()) {
   root_.set("name", JsonValue(name_));
-  root_.set("schema", JsonValue("edgesched-bench-telemetry-v1"));
+  root_.set("schema", JsonValue("edgesched-bench-telemetry-v2"));
+  // Where the numbers were taken: a timing only compares with one from
+  // the same core count, compiler and build type.
+  root_.set("nproc", JsonValue(std::thread::hardware_concurrency()));
+  root_.set("compiler", JsonValue(EDGESCHED_COMPILER));
+  const std::string build_type = EDGESCHED_BUILD_TYPE;
+  root_.set("build_type",
+            JsonValue(build_type.empty() ? "none" : build_type));
 }
 
 void BenchReport::add_span_totals() {

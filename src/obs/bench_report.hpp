@@ -23,7 +23,9 @@ class BenchReport {
  public:
   explicit BenchReport(std::string name);
 
-  /// The mutable document; pre-populated with "name" and "schema".
+  /// The mutable document; pre-populated with "name", "schema" and the
+  /// build stamp: "nproc" (hardware threads), "compiler" (id and
+  /// version) and "build_type" (the CMake build type, "none" if unset).
   [[nodiscard]] JsonValue& root() noexcept { return root_; }
 
   void set_number(const std::string& key, double value) {

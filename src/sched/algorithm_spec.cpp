@@ -65,7 +65,6 @@ std::uint64_t AlgorithmSpec::fingerprint() const noexcept {
   fp.mix(static_cast<std::uint64_t>(insertion_aware_estimate));
   fp.mix(static_cast<std::uint64_t>(edge_order));
   fp.mix(static_cast<std::uint64_t>(routing));
-  fp.mix(static_cast<std::uint64_t>(route_memo));
   fp.mix(static_cast<std::uint64_t>(insertion));
   fp.mix(packet_size);
   fp.mix(static_cast<std::uint64_t>(eager_communication));
@@ -118,9 +117,6 @@ std::string AlgorithmSpec::describe() const {
   text += edge_order_label(edge_order);
   text += " routing=";
   text += routing_label(routing);
-  if (routing == RoutingPolicyKind::kProbeDijkstra && route_memo) {
-    text += "(memo)";
-  }
   text += " insertion=";
   text += insertion_label(insertion);
   if (eager_communication) text += " eager";

@@ -81,9 +81,6 @@ struct AlgorithmSpec {
   EdgeOrderPolicyKind edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
 
   RoutingPolicyKind routing = RoutingPolicyKind::kBfsMinimal;
-  /// kProbeDijkstra only: memoise probe routes under the network-state
-  /// load generation (pure fast path; see net::ProbedRouteCache).
-  bool route_memo = true;
 
   InsertionPolicyKind insertion = InsertionPolicyKind::kFirstFit;
   /// kPacketized only: a message of cost c becomes ceil(c/packet_size)

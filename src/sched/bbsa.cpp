@@ -16,11 +16,6 @@ AlgorithmSpec Bbsa::spec(const Options& options) {
                         : EdgeOrderPolicyKind::kPredecessorOrder;
   spec.routing = options.modified_routing ? RoutingPolicyKind::kProbeDijkstra
                                           : RoutingPolicyKind::kBfsMinimal;
-  // No route memo: BBSA commits every routed edge immediately, and the
-  // commit bumps the bandwidth generation, so a memoised route could
-  // never be reused — the memo would be pure map churn. (Enabling it is
-  // still sound; the policy-matrix suite proves it byte-identical.)
-  spec.route_memo = false;
   spec.insertion = InsertionPolicyKind::kFluidBandwidth;
   spec.eager_communication = options.eager_communication;
   spec.task_insertion = options.task_insertion;

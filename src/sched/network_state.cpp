@@ -69,7 +69,7 @@ double ExclusiveNetworkState::commit_edge_basic(dag::EdgeId edge,
   EdgeRecord record;
   record.route = route;
   record.occupations.reserve(route.size());
-  record.generation_before = generation_++;
+  ++generation_;
   double t_es_in = ready;
   double t_f_min = 0.0;
   for (net::LinkId link : route) {
@@ -101,7 +101,7 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
   EdgeRecord record;
   record.route = route;
   record.occupations.reserve(route.size());
-  record.generation_before = generation_++;
+  ++generation_;
   double t_es_in = ready;
   double t_f_min = 0.0;
   for (net::LinkId link : route) {
@@ -170,9 +170,6 @@ double ExclusiveNetworkState::commit_packet(dag::EdgeId edge,
   EDGESCHED_ASSERT_MSG(!route.empty(),
                        "cannot commit a packet on an empty route");
   EdgeRecord& record = records_[edge.index()];
-  if (!record.scheduled()) {
-    record.generation_before = generation_;
-  }
   ++generation_;
   double arrival = ready;
   for (net::LinkId link : route) {
@@ -214,14 +211,7 @@ void ExclusiveNetworkState::uncommit_edge(dag::EdgeId edge) {
     }
     EDGESCHED_ASSERT_MSG(erased, "uncommit could not find the slot");
   }
-  if (generation_ == record.generation_before + 1) {
-    // Clean rollback of the latest mutation: the timelines are exactly
-    // the pre-commit state again, so route memos keyed on the previous
-    // generation are valid once more.
-    generation_ = record.generation_before;
-  } else {
-    ++generation_;
-  }
+  ++generation_;
   record = EdgeRecord{};
 }
 

@@ -28,10 +28,6 @@ namespace edgesched::sched {
 struct EdgeRecord {
   net::Route route;
   std::vector<LinkOccupation> occupations;
-  /// Load generation the owning state had *before* this edge committed;
-  /// lets a clean rollback (`uncommit_edge` of the latest mutation)
-  /// restore the generation instead of invalidating route memos.
-  std::uint64_t generation_before = 0;
   [[nodiscard]] bool scheduled() const noexcept { return !route.empty(); }
 };
 
@@ -77,12 +73,9 @@ class ExclusiveNetworkState {
   }
 
   /// Monotone *load generation*: bumped by every timeline mutation
-  /// (edge/packet commit, deferral shift cascade, uncommit). Two equal
-  /// generations imply bit-identical link timelines, which is what
-  /// `net::ProbedRouteCache` keys its memo validity on. The only
-  /// non-monotone step is the clean-rollback restore in `uncommit_edge`:
-  /// undoing the *latest* mutation provably returns to the previous
-  /// timeline state, so the previous generation is restored with it.
+  /// (edge/packet commit, deferral shift cascade, uncommit), so an
+  /// unchanged generation means untouched link timelines — what the
+  /// engine's read-only candidate scan asserts.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
   }
@@ -175,8 +168,7 @@ class BandwidthNetworkState {
   /// Monotone load generation, the bandwidth counterpart of
   /// `ExclusiveNetworkState::generation()`: bumped by every fluid commit
   /// (the only mutation this state has). Equal generations imply
-  /// bit-identical bandwidth timelines, so probe-driven route memos keyed
-  /// on it are a pure fast path for BBSA-style bundles too.
+  /// bit-identical bandwidth timelines.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
   }

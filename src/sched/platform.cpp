@@ -13,7 +13,7 @@ void Workspace::flush_counters() {
     obs::hot_counters().candidates_evaluated.increment(candidates_evaluated);
     candidates_evaluated = 0;
   }
-  routing.flush_counters();
+  routing.flush_relaxations();
 }
 
 namespace {
@@ -36,6 +36,7 @@ WorkspaceLease::~WorkspaceLease() {
 PlatformContext::PlatformContext(const net::Topology& topology)
     : topology_(&topology),
       routes_(topology),
+      bridges_(topology),
       mean_link_speed_(topology.mean_link_speed()),
       fingerprint_(topology.fingerprint()),
       num_processors_(
@@ -46,6 +47,7 @@ PlatformContext::PlatformContext(
     : owned_(std::move(topology)),
       topology_(&require_topology(owned_)),
       routes_(*topology_),
+      bridges_(*topology_),
       mean_link_speed_(topology_->mean_link_speed()),
       fingerprint_(topology_->fingerprint()),
       num_processors_(std::max<std::size_t>(std::size_t{1},

@@ -13,16 +13,18 @@
 // derivable from the topology alone, built once and shared freely —
 //
 //   * the all-pairs minimal-route table (`net::StaticRouteTable`),
+//   * the bridge index that prunes the §4.3 probe search
+//     (`net::BridgeIndex`),
 //   * the mean link speed (the §4.1 MLS estimate denominator),
 //   * the topology's structural fingerprint (the service layer's
 //     content-address for its platform cache),
 //
 // paired with a pool of per-run `Workspace` objects holding every piece
-// of mutable scratch a run needs (Dijkstra workspace, probe-route memo,
-// edge-order and candidate buffers). `checkout()` leases a workspace —
-// reusing a pooled one when a previous run returned it, allocating
-// fresh under contention — so N concurrent runs over one context never
-// share mutable state.
+// of mutable scratch a run needs (Dijkstra workspace, edge-order and
+// candidate buffers). `checkout()` leases a workspace — reusing a pooled
+// one when a previous run returned it, allocating fresh under
+// contention — so N concurrent runs over one context never share
+// mutable state.
 //
 // Thread-safety contract: after construction every `const` member of
 // `PlatformContext` is safe from any number of threads (the immutable
@@ -48,12 +50,10 @@
 namespace edgesched::sched {
 
 /// All mutable per-run scratch of one engine run, poolable across runs.
-/// `begin_run()` re-arms a pooled workspace: the probe-route memo is
-/// invalidated (load generations restart per run) and the reusable
-/// buffers are cleared; the Dijkstra workspace self-resets via its
-/// search epoch.
+/// `begin_run()` re-arms a pooled workspace: the reusable buffers are
+/// cleared; the Dijkstra workspace self-resets via its search epoch.
 struct Workspace {
-  net::RoutingScratch routing;
+  net::RoutingWorkspace routing;
   std::vector<dag::EdgeId> order_scratch;
   std::vector<obs::ProcessorCandidate> candidates;
   /// Per-processor scores of one candidate scan: the engine sizes this
@@ -66,7 +66,6 @@ struct Workspace {
   std::uint64_t candidates_evaluated = 0;
 
   void begin_run() {
-    routing.begin_run();
     order_scratch.clear();
     candidates.clear();
     scores.clear();
@@ -125,6 +124,9 @@ class PlatformContext {
   [[nodiscard]] const net::StaticRouteTable& routes() const noexcept {
     return routes_;
   }
+  [[nodiscard]] const net::BridgeIndex& bridges() const noexcept {
+    return bridges_;
+  }
   /// Cached `Topology::mean_link_speed()` — O(L) once per context
   /// instead of once per MLS-estimate run.
   [[nodiscard]] double mean_link_speed() const noexcept {
@@ -158,6 +160,7 @@ class PlatformContext {
   std::shared_ptr<const net::Topology> owned_;  ///< may be null
   const net::Topology* topology_;
   net::StaticRouteTable routes_;
+  net::BridgeIndex bridges_;
   double mean_link_speed_ = 0.0;
   std::uint64_t fingerprint_ = 0;
   std::size_t num_processors_ = 1;

@@ -17,7 +17,15 @@ TEST(BenchReport, PrepopulatesNameAndSchema) {
   BenchReport report("micro_example");
   EXPECT_EQ(report.root().at("name").as_string(), "micro_example");
   EXPECT_EQ(report.root().at("schema").as_string(),
-            "edgesched-bench-telemetry-v1");
+            "edgesched-bench-telemetry-v2");
+}
+
+TEST(BenchReport, StampsTheBuild) {
+  BenchReport report("stamped");
+  const JsonValue& root = report.root();
+  EXPECT_GE(root.at("nproc").as_number(), 0.0);
+  EXPECT_FALSE(root.at("compiler").as_string().empty());
+  EXPECT_FALSE(root.at("build_type").as_string().empty());
 }
 
 TEST(BenchReport, SettersAndSeriesRoundTripThroughJson) {

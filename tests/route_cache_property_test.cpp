@@ -1,12 +1,11 @@
-// Equivalence properties of the source-sharded route caches.
+// Equivalence properties of the per-run routing state.
 //
-// `RouteCache` and `ProbedRouteCache` replaced their (from, to)-keyed
-// maps with dense per-source shards for O(1) lookups. Both are pure
-// memo layers: against the same query sequence they must return exactly
-// what a straightforward map-based memo returns — the same routes, and
-// for the probe memo the same hit/miss decisions (a spurious hit would
-// resurrect a route from a stale network generation; a spurious miss
-// only costs time but would still betray a keying bug).
+// `RouteCache` replaced its (from, to)-keyed map with dense per-source
+// shards for O(1) lookups; against the same query sequence it must
+// return exactly what a straightforward map-based memo returns. The
+// probe search reuses one epoch-stamped workspace and one bridge index
+// across every routed edge of a run; under a storm of queries and link
+// commits it must return exactly what a fresh, unpruned search returns.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +14,7 @@
 
 #include "net/builders.hpp"
 #include "net/routing.hpp"
+#include "sched/network_state.hpp"
 #include "util/rng.hpp"
 
 namespace edgesched::net {
@@ -43,51 +43,36 @@ TEST_P(RouteCacheProperty, ShardedBfsCacheMatchesMapMemo) {
   }
 }
 
-// The probe memo's contract is exact-query identity: same endpoints,
-// bit-identical ready/cost, same load generation. Drive the sharded
-// memo and a map-based reference with a random mix of lookups and
-// stores (generations advance, ready/cost repeat or not) and require
-// identical hit/miss behaviour and identical returned routes.
-TEST_P(RouteCacheProperty, ShardedProbeMemoMatchesMapMemo) {
+// Random query storm over a loaded star with pendant processors: the
+// reused workspace + bridge index search must match a fresh unpruned
+// search on every query, while commits keep changing the link loads.
+TEST_P(RouteCacheProperty, ReusedProbeScratchMatchesFreshSearch) {
   Rng rng(GetParam() + 1);
   const Topology topo = switched_star(6, SpeedConfig{}, rng);
-  ProbedRouteCache sharded;
-  struct RefEntry {
-    double ready;
-    double cost;
-    std::uint64_t generation;
-    Route route;
-  };
-  std::map<std::pair<NodeId, NodeId>, RefEntry> reference;
+  const BridgeIndex bridges(topo);
+  sched::ExclusiveNetworkState network(topo, 3000);
+  RoutingWorkspace workspace;
 
   const auto nodes = static_cast<std::int64_t>(topo.num_nodes());
-  std::uint64_t generation = 0;
-  // A few recurring (ready, cost) values make genuine hits common.
+  // A few recurring (ready, cost) values make exact ties common.
   const double readies[] = {0.0, 1.5, 7.25};
   const double costs[] = {10.0, 64.0};
-  for (std::size_t i = 0; i < 3000; ++i) {
-    if (rng.bernoulli(0.1)) {
-      ++generation;  // a link mutation elsewhere invalidates everything
-    }
+  for (std::uint32_t i = 0; i < 3000; ++i) {
     const NodeId from(static_cast<std::size_t>(rng.uniform_int(0, nodes - 1)));
     const NodeId to(static_cast<std::size_t>(rng.uniform_int(0, nodes - 1)));
     const double ready = readies[rng.uniform_int(0, 2)];
     const double cost = costs[rng.uniform_int(0, 1)];
-
-    const Route* hit = sharded.lookup(from, to, ready, cost, generation);
-    const auto it = reference.find(std::make_pair(from, to));
-    const bool ref_hit = it != reference.end() &&
-                         it->second.generation == generation &&
-                         it->second.ready == ready &&
-                         it->second.cost == cost;
-    ASSERT_EQ(hit != nullptr, ref_hit) << "query " << i;
-    if (hit != nullptr) {
-      ASSERT_EQ(*hit, it->second.route) << "query " << i;
-    } else if (from != to) {
-      const Route computed = bfs_route(topo, from, to);
-      sharded.store(from, to, ready, cost, generation, computed);
-      reference[std::make_pair(from, to)] =
-          RefEntry{ready, cost, generation, computed};
+    const auto probe = [&](LinkId link, const ProbeState& state) {
+      const timeline::Placement p = network.probe_link(
+          link, state.earliest_start, state.min_finish, cost);
+      return ProbeResult{p.start, p.finish};
+    };
+    const Route reused = dijkstra_route_probe(topo, from, to, ready, probe,
+                                              &workspace, &bridges);
+    ASSERT_EQ(reused, dijkstra_route_probe(topo, from, to, ready, probe))
+        << "query " << i;
+    if (!reused.empty() && rng.bernoulli(0.1)) {
+      network.commit_edge_basic(dag::EdgeId(i), reused, ready, cost);
     }
   }
 }

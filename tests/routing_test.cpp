@@ -238,11 +238,7 @@ TEST(DijkstraRouteProbe, MatchesBfsHopCountOnUniformIdleNetwork) {
   }
 }
 
-// --- ProbedRouteCache / RoutingWorkspace -------------------------------
-//
-// The memo's validity rule (routing.hpp): a hit requires the exact same
-// query AND an unchanged network load generation. These tests pin down
-// that a link mutation can never let a stale route escape the cache.
+// --- RoutingWorkspace / BridgeIndex -----------------------------------
 
 /// Load-aware probe over an ExclusiveNetworkState, as OIHSA issues it.
 struct LoadedProbe {
@@ -255,85 +251,32 @@ struct LoadedProbe {
   }
 };
 
-TEST(ProbedRouteCache, MissesAfterLinkMutation) {
-  TwoPathNetwork net;
-  sched::ExclusiveNetworkState network(net.topology, 4);
-  ProbedRouteCache memo;
-  const double cost = 2.0;
-  const LoadedProbe probe{network, cost};
-
-  const std::uint64_t g0 = network.generation();
-  const Route before =
-      dijkstra_route_probe(net.topology, net.a, net.b, 0.0, probe);
-  memo.store(net.a, net.b, 0.0, cost, g0, before);
-  ASSERT_NE(memo.lookup(net.a, net.b, 0.0, cost, g0), nullptr);
-  EXPECT_EQ(before, (Route{net.a_s1, net.s1_b}));
-
-  // Pile load onto the short path: the next query would steer around it,
-  // so serving the memoized route now WOULD be stale.
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    network.commit_edge_basic(dag::EdgeId(i),
-                              Route{net.a_s1, net.s1_b}, 0.0, 50.0);
+// On a tree fabric every link off the route crosses a bridge away from
+// the target, so the pruned search probes exactly the route's own hops:
+// 2 relaxations under one leaf switch, 4 across leaves.
+TEST(BridgeIndex, TreeSearchRelaxesOnlyTheRoute) {
+  Rng rng(5);
+  const Topology t = fat_tree(4, 4, SpeedConfig{}, rng);
+  const BridgeIndex bridges(t);
+  sched::ExclusiveNetworkState network(t, 0);
+  const LoadedProbe probe{network, 10.0};
+  const auto& procs = t.processors();
+  ASSERT_EQ(procs.size(), 16u);
+  for (const NodeId from : procs) {
+    for (const NodeId to : procs) {
+      if (from == to) continue;
+      RoutingWorkspace workspace;
+      const Route route = dijkstra_route_probe(t, from, to, 0.0, probe,
+                                               &workspace, &bridges);
+      EXPECT_EQ(route, bfs_route(t, from, to));
+      const bool same_leaf =
+          t.link(route.front()).dst == t.link(route.back()).src;
+      EXPECT_EQ(route.size(), same_leaf ? 2u : 4u);
+      EXPECT_EQ(workspace.pending_relaxations(), route.size())
+          << from.index() << " -> " << to.index();
+      workspace.flush_relaxations();
+    }
   }
-  const std::uint64_t g1 = network.generation();
-  ASSERT_NE(g1, g0);
-  // Invalidation: the mutated generation can never hit the old entry.
-  EXPECT_EQ(memo.lookup(net.a, net.b, 0.0, cost, g1), nullptr);
-  // And the fresh computation indeed differs from the cached route.
-  const Route after =
-      dijkstra_route_probe(net.topology, net.a, net.b, 0.0, probe);
-  EXPECT_EQ(after, (Route{net.a_s2, net.s2_s3, net.s3_b}));
-  EXPECT_NE(after, before);
-}
-
-TEST(ProbedRouteCache, HitRequiresIdenticalQuery) {
-  TwoPathNetwork net;
-  ProbedRouteCache memo;
-  memo.store(net.a, net.b, 1.0, 2.0, 7, Route{net.a_s1, net.s1_b});
-  EXPECT_NE(memo.lookup(net.a, net.b, 1.0, 2.0, 7), nullptr);
-  EXPECT_EQ(memo.lookup(net.a, net.b, 1.5, 2.0, 7), nullptr);  // ready
-  EXPECT_EQ(memo.lookup(net.a, net.b, 1.0, 3.0, 7), nullptr);  // cost
-  EXPECT_EQ(memo.lookup(net.b, net.a, 1.0, 2.0, 7), nullptr);  // reversed
-}
-
-TEST(ProbedRouteCache, CleanRollbackRestoresValidity) {
-  TwoPathNetwork net;
-  sched::ExclusiveNetworkState network(net.topology, 4);
-  ProbedRouteCache memo;
-  const double cost = 2.0;
-  const LoadedProbe probe{network, cost};
-
-  const std::uint64_t g0 = network.generation();
-  const Route route =
-      dijkstra_route_probe(net.topology, net.a, net.b, 0.0, probe);
-  memo.store(net.a, net.b, 0.0, cost, g0, route);
-
-  // Tentative commit + immediate uncommit (the Basic Algorithm's
-  // evaluation pattern) provably restores the timelines, so the
-  // generation — and with it the memo's validity — must come back.
-  network.commit_edge_basic(dag::EdgeId(0u), Route{net.a_s1, net.s1_b},
-                            0.0, 50.0);
-  EXPECT_EQ(memo.lookup(net.a, net.b, 0.0, cost, network.generation()),
-            nullptr);
-  network.uncommit_edge(dag::EdgeId(0u));
-  EXPECT_EQ(network.generation(), g0);
-  const Route* hit =
-      memo.lookup(net.a, net.b, 0.0, cost, network.generation());
-  ASSERT_NE(hit, nullptr);
-  // The restored-state memo answer matches a fresh search exactly.
-  EXPECT_EQ(*hit,
-            dijkstra_route_probe(net.topology, net.a, net.b, 0.0, probe));
-
-  // Out-of-order rollback cannot prove restoration: generation must NOT
-  // return to a previously seen value.
-  network.commit_edge_basic(dag::EdgeId(1u), Route{net.a_s1, net.s1_b},
-                            0.0, 10.0);
-  network.commit_edge_basic(dag::EdgeId(2u), Route{net.a_s1, net.s1_b},
-                            0.0, 10.0);
-  const std::uint64_t g_both = network.generation();
-  network.uncommit_edge(dag::EdgeId(1u));  // not the latest mutation
-  EXPECT_NE(network.generation(), g0);
-  EXPECT_NE(network.generation(), g_both);
 }
 
 TEST(RoutingWorkspace, ReuseMatchesFreshSearches) {

@@ -8,8 +8,12 @@
 //
 // Default mode parses each file as one complete JSON document; --jsonl
 // parses every non-empty line as its own document (the decision-log
-// format). Exit code 0 iff every file validates; problems are reported
-// with the file name and the parser's byte offset.
+// format). A benchmark report in the current telemetry schema must also
+// carry its build stamp ("nproc", "compiler", "build_type"), so no timing
+// is archived without the machine it was taken on; reports written
+// before the stamp existed (schema v1, e.g. committed baselines) are
+// only parsed. Exit code 0 iff every file validates; problems are
+// reported with the file name and the parser's byte offset.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -51,7 +55,19 @@ bool check_file(const std::string& path, bool jsonl) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   try {
-    (void)edgesched::obs::JsonValue::parse(buffer.str());
+    const auto doc = edgesched::obs::JsonValue::parse(buffer.str());
+    if (doc.type() == edgesched::obs::JsonValue::Type::kObject &&
+        doc.contains("schema") &&
+        doc.at("schema").type() == edgesched::obs::JsonValue::Type::kString &&
+        doc.at("schema").as_string() == "edgesched-bench-telemetry-v2") {
+      for (const char* key : {"nproc", "compiler", "build_type"}) {
+        if (!doc.contains(key)) {
+          std::cerr << "check_json: " << path << ": benchmark report lacks \""
+                    << key << "\"\n";
+          return false;
+        }
+      }
+    }
   } catch (const std::exception& e) {
     std::cerr << "check_json: " << path << ": " << e.what() << "\n";
     return false;
